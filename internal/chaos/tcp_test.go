@@ -226,6 +226,9 @@ func TestTCPClusterKillRestartUnderChaos(t *testing.T) {
 		}
 	}
 
+	// Stop the replicas first: their event loops feed the oracle, which
+	// is not safe for concurrent use with Finalize.
+	clu.Stop()
 	oracle.Finalize(completed, completed, true, clu.Now())
 	if v := oracle.Violations(); len(v) != 0 {
 		t.Fatalf("invariant violations on real TCP:\n%v", v)

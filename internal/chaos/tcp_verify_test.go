@@ -106,6 +106,9 @@ func TestTCPAsyncVerifyWithGarbageSigner(t *testing.T) {
 		}
 	}
 
+	// Stop the replicas first: their event loops feed the oracle, which
+	// is not safe for concurrent use with Finalize.
+	clu.Stop()
 	oracle.Finalize(requests, requests, true, clu.Now())
 	if v := oracle.Violations(); len(v) != 0 {
 		t.Fatalf("invariant violations with async verify: %v", v)

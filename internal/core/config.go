@@ -18,7 +18,10 @@ type Config struct {
 
 	// BatchSize is the maximum number of requests ordered per consensus
 	// instance; BatchTimeout bounds how long a leader waits to fill a
-	// batch before proposing a partial one.
+	// batch before proposing a partial one. PBFT applies it to every slot
+	// but the last free one of its sliding window: that slot, which is
+	// the one a full window frees, carries the backlog in one batch of up
+	// to max(BatchSize, 64) requests.
 	BatchSize    int
 	BatchTimeout time.Duration
 

@@ -285,10 +285,12 @@ func X3MessageComplexity(w io.Writer) {
 	}
 }
 
-// X4ThroughputLatency reproduces the paper's §1 claim: protocols that
+// X4ThroughputLatency measures the paper's §1 claim: protocols that
 // reduce message complexity by adding phases (HotStuff) win on throughput
 // at scale but lose on latency, making them unattractive for
-// geo-replication (WAN).
+// geo-replication (WAN). Throughput also depends on how many requests
+// each slot carries, so PBFT's backlog batching moves the throughput
+// half (EXPERIMENTS.md, X4).
 func X4ThroughputLatency(w io.Writer) {
 	fmt.Fprintln(w, "X4: throughput/latency trade-off — PBFT (clique,3 phases) vs HotStuff (linear,7)")
 	fmt.Fprintln(w, "    per-node egress cost 50µs/msg models finite bandwidth (the leader bottleneck)")

@@ -19,6 +19,21 @@ const (
 	timerDelay      = "delay"      // attack injection only
 )
 
+// Sliding-window batching (Castro & Liskov, OSDI '99): the leader keeps
+// at most window slots in flight (sequenced, not yet executed locally).
+// Each slot takes up to BatchSize requests, except the window's last
+// free slot, which takes the backlog up to max(BatchSize, maxBatch). So
+// an idle leader still proposes a lone request the moment it arrives,
+// and once the window is full, requests wait in the pool until
+// OnExecuted frees a slot that carries them as one batch. maxBatch keeps
+// a pre-prepare far below the transport's frame bound even with 1 KiB
+// requests. With at most window requests outstanding the window never
+// fills, so such workloads order exactly as unwindowed PBFT does.
+const (
+	window   = 2
+	maxBatch = 64
+)
+
 // Options tunes a PBFT instance, including the Byzantine behaviors the
 // experiments inject when this replica plays the adversary.
 type Options struct {
@@ -55,11 +70,11 @@ type instance struct {
 	ppSig []byte
 	// prepares holds prepare signatures matching digest (sig-mode) or
 	// just vote presence (MAC mode), keyed by voter.
-	prepares map[types.NodeID][]byte
-	commits  map[types.NodeID][]byte
-	sentPrep bool
-	sentComm bool
-	prepared bool
+	prepares  map[types.NodeID][]byte
+	commits   map[types.NodeID][]byte
+	sentPrep  bool
+	sentComm  bool
+	prepared  bool
 	committed bool
 }
 
@@ -85,10 +100,10 @@ type PBFT struct {
 	// inFlight marks requests currently inside a proposed (but not yet
 	// executed) slot of the current view; cleared on view change so a
 	// new leader re-proposes anything the old view lost.
-	inFlight map[types.RequestKey]bool
-	watch      map[types.RequestKey]bool
-	done   map[types.RequestKey]bool
-	lastReply  map[types.NodeID]*types.Reply
+	inFlight  map[types.RequestKey]bool
+	watch     map[types.RequestKey]bool
+	done      map[types.RequestKey]bool
+	lastReply map[types.NodeID]*types.Reply
 
 	progressArmed bool
 
@@ -172,6 +187,15 @@ func (p *PBFT) DebugState() string {
 }
 
 func (p *PBFT) isLeader() bool { return p.Leader() == p.env.ID() }
+
+// InFlightSlots is the number of slots this replica has sequenced but
+// not yet executed — the sliding window's occupancy when it leads.
+func (p *PBFT) InFlightSlots() int {
+	if last := p.env.Ledger().LastExecuted(); p.nextSeq > last {
+		return int(p.nextSeq - last)
+	}
+	return 0
+}
 
 func (p *PBFT) inst(k instKey) *instance {
 	in := p.insts[k]
@@ -270,7 +294,15 @@ func (p *PBFT) proposeBatch() {
 		if uint64(p.nextSeq) >= uint64(p.env.Ledger().LowWater())+cfg.HighWaterWindow {
 			return // out of window; resume as checkpoints advance
 		}
-		reqs := p.takePending(cfg.BatchSize)
+		free := window - p.InFlightSlots()
+		if free <= 0 {
+			return // window full: OnExecuted proposes the backlog
+		}
+		size := cfg.BatchSize
+		if free == 1 && size < maxBatch {
+			size = maxBatch // the last free slot carries the backlog
+		}
+		reqs := p.takePending(size)
 		if len(reqs) == 0 {
 			return
 		}

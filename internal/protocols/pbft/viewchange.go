@@ -214,9 +214,12 @@ func (p *PBFT) onNewView(from types.NodeID, m *NewViewMsg) {
 
 func (p *PBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
 	p.view = m.View
-	if p.nextSeq < m.Base {
-		p.nextSeq = m.Base
-	}
+	// The new view numbers on from the highest slot the quorum prepared or
+	// executed — lowering nextSeq if the old view sequenced slots above
+	// it. Such a slot was prepared by no replica in the 2f+1 view-change
+	// quorum, so it committed nowhere, and keeping its number would leave
+	// a hole below every new proposal that no replica ever fills.
+	p.nextSeq = max(maxS, m.Base, p.env.Ledger().LastExecuted())
 	if m.Base > p.env.Ledger().LastExecuted() {
 		// We are behind the quorum's execution point: fetch the
 		// committed slots we missed during the view churn.
@@ -229,9 +232,6 @@ func (p *PBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
 	p.vcTimeout = p.env.Config().ViewChangeTimeout
 	p.env.StopTimer(core.TimerID{Name: timerViewChange, View: m.View})
 	p.env.ViewChanged(m.View)
-	if p.nextSeq < maxS {
-		p.nextSeq = maxS
-	}
 	for v := range p.vcs {
 		if v <= m.View {
 			delete(p.vcs, v)

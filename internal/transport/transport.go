@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -38,10 +39,12 @@ import (
 
 // Envelope frames one message on the wire. An envelope with a nil Msg is
 // a hello: the dialer sends it immediately after connecting so the
-// acceptor can adopt the connection as the return path to From before
-// any protocol traffic flows. From is not authenticated at this layer —
-// the crypto authority authenticates message *contents*; the untrusted
-// network is assumed to spoof, drop, and replay at will.
+// acceptor can adopt the connection as the return path to From, and the
+// acceptor answers with a hello of its own once it has. Neither side
+// sends protocol traffic on a connection before that handshake settles
+// it. From is not authenticated at this layer — the crypto authority
+// authenticates message *contents*; the untrusted network is assumed to
+// spoof, drop, and replay at will.
 type Envelope struct {
 	From types.NodeID
 	Msg  types.Message
@@ -68,6 +71,16 @@ const (
 	backoffBase = 25 * time.Millisecond
 	backoffMax  = 2 * time.Second
 )
+
+// retireGrace bounds how long a replacement connection holds its
+// deliveries back while the connection it replaced drains. The peer
+// half-closes a retired connection as soon as it switches, so the bound
+// only matters when the old stream died without a FIN.
+const retireGrace = dialTimeout
+
+// errRetired is what a write on a retired connection returns: nothing
+// was written, so the envelope can go out on the replacement.
+var errRetired = errors.New("transport: connection retired")
 
 // Node is one TCP participant: it listens for peers, keeps one outbound
 // queue and at most one live connection per peer, and serializes all
@@ -128,11 +141,19 @@ type wireConn struct {
 	hasPeer bool
 
 	mu      sync.Mutex // serializes writes (sender vs hello vs tie-break)
+	retired bool       // write side half-closed; guarded by mu
 	enc     *gob.Encoder
 	buf     bytes.Buffer
 	scratch []byte
 	w       io.Writer
 	total   func() int64
+
+	// settled closes once the first inbound envelope (the peer's hello)
+	// was adopted or refused, or the read loop ended without one.
+	settled chan struct{}
+	// drained closes once the read loop has ended and every message it
+	// read has been handed to the event loop.
+	drained chan struct{}
 }
 
 // peer is one outbound lane: the queue Send appends to, the current
@@ -303,18 +324,6 @@ func (n *Node) stopping() bool {
 	}
 }
 
-// sleep waits d or until Stop, reporting whether the full wait elapsed.
-func (n *Node) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-n.done:
-		return false
-	}
-}
-
 func (n *Node) eventLoop() {
 	for {
 		select {
@@ -358,6 +367,8 @@ func (n *Node) newWireConn(c net.Conn, inbound bool) *wireConn {
 		inbound: inbound,
 		w:       w,
 		total:   total,
+		settled: make(chan struct{}),
+		drained: make(chan struct{}),
 	}
 	wc.enc = gob.NewEncoder(&wc.buf)
 	if !inbound {
@@ -397,6 +408,9 @@ func (n *Node) removeOpen(wc *wireConn) {
 func (wc *wireConn) writeEnvelope(env *Envelope, max int) (int, error) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
+	if wc.retired {
+		return 0, errRetired
+	}
 	wc.buf.Reset()
 	if err := wc.enc.Encode(env); err != nil {
 		return 0, err
@@ -418,25 +432,39 @@ func (wc *wireConn) writeEnvelope(env *Envelope, max int) (int, error) {
 }
 
 // readLoop drains one connection: framed envelopes are decoded under the
-// frame bound and handed to the event loop. Any error — disconnect,
-// oversized frame, garbage — closes and detaches the connection; the
-// node itself never dies with it.
+// frame bound and handed to the event loop. The first envelope is the
+// peer's hello, which installs the connection as the peer's lane (or
+// refuses it). Any error — disconnect, oversized frame, garbage — closes
+// and detaches the connection; the node itself never dies with it. A
+// retired connection is read until the peer's EOF, so nothing the peer
+// wrote before it switched over is lost.
 func (n *Node) readLoop(wc *wireConn) {
 	defer n.detachConn(wc)
+	hello := false
+	defer func() {
+		if !hello {
+			close(wc.settled)
+		}
+	}()
 	cr, rtotal := obsv.ReadCounted(wc.c)
 	fr := newFrameReader(cr, n.maxFrame)
 	dec := gob.NewDecoder(fr)
-	adopted := !wc.inbound
 	var lane chan laneItem
 	if n.prepare != nil {
 		lane = make(chan laneItem, laneCap)
-		if !n.goTracked(func() { n.runLane(lane) }) {
+		if !n.goTracked(func() {
+			defer close(wc.drained)
+			n.runLane(lane)
+		}) {
+			close(wc.drained)
 			return
 		}
 		// Closing the lane when this read loop exits lets the lane drain
 		// what it already accepted, then stop — no goroutine leak, no
 		// dropped prepared messages.
 		defer close(lane)
+	} else {
+		defer close(wc.drained)
 	}
 	for {
 		before := rtotal()
@@ -458,16 +486,25 @@ func (n *Node) readLoop(wc *wireConn) {
 			return
 		}
 		size := int(rtotal() - before)
-		if !adopted {
-			// Adopt the inbound connection as the return path to the
-			// sender — clients are not in the static peer table, so
-			// replies must flow back over the connection the request
-			// arrived on.
-			adopted = true
-			n.adopt(env.From, wc)
+		if !hello {
+			// The peer's hello: install the connection as the lane to the
+			// peer — for an inbound one, the return path clients (absent
+			// from the static peer table) are replied to over.
+			hello = true
+			id := env.From
+			if !wc.inbound {
+				id = wc.peer
+			}
+			prev, ok := n.install(id, wc)
+			close(wc.settled)
+			if !ok {
+				wc.retire()
+			} else if prev != nil && !n.awaitDrained(prev) {
+				return
+			}
 		}
 		if env.Msg == nil {
-			continue // hello/keepalive: adoption was its whole job
+			continue // hello/keepalive: installation was its whole job
 		}
 		from, msg := env.From, env.Msg
 		n.tracer.MsgDelivered(n.Now(), from, n.id, msg, size)
@@ -509,31 +546,87 @@ func (n *Node) preferNew(old, neu *wireConn, p types.NodeID) bool {
 	return neu.dialer == low
 }
 
-// adopt installs an inbound connection as peer id's return path,
-// resolving duplicates by the tie-break. Called by the conn's own read
-// loop on the first envelope.
-func (n *Node) adopt(id types.NodeID, wc *wireConn) {
-	wc.dialer = id
-	wc.peer = id
-	wc.hasPeer = true
+// install makes wc the lane to peer id on the peer's hello, resolving a
+// duplicate by the tie-break. An inbound connection is acknowledged with
+// our own hello before any sender can write to it; a dialed one is
+// installed on that acknowledgement. A connection that loses is refused
+// (the caller retires it) and one that is replaced is retired here and
+// returned: it may still carry the peer's last messages, which must be
+// delivered before anything that arrives on wc. Called by wc's read loop.
+func (n *Node) install(id types.NodeID, wc *wireConn) (prev *wireConn, ok bool) {
+	if wc.inbound {
+		wc.dialer = id
+		wc.peer = id
+		wc.hasPeer = true
+	}
 	p := n.ensurePeer(id)
 	p.mu.Lock()
-	keep := true
-	if old := p.cur; old != nil && old != wc {
-		keep = n.preferNew(old, wc, id)
-		if keep {
-			old.c.Close() // its read loop detaches it; p.cur already moved on
+	prev = p.cur
+	if prev != nil && !n.preferNew(prev, wc, id) {
+		p.mu.Unlock()
+		return nil, false
+	}
+	if wc.inbound {
+		if _, err := wc.writeEnvelope(&Envelope{From: n.id}, n.maxFrame); err != nil {
+			p.mu.Unlock()
+			return nil, false
 		}
 	}
-	if keep {
-		p.cur = wc
-		p.dialFails = 0
-		p.connected = true
-		n.startSenderLocked(p)
-	}
+	p.cur = wc
+	p.dialFails = 0
+	p.connected = true
+	n.startSenderLocked(p)
 	p.mu.Unlock()
-	if !keep {
+	if prev != nil {
+		prev.retire()
+	}
+	return prev, true
+}
+
+// retire ends our side of a superseded connection: once any write in
+// progress finishes, the write side is half-closed, so the peer reads
+// everything we sent and then EOF. The read side stays open until the
+// peer does the same. A write stuck on a peer that stopped reading is
+// cut off after retireGrace and its envelope goes out on the
+// replacement.
+func (wc *wireConn) retire() {
+	// Errors from a dead socket need no handling here: its read loop
+	// fails and detaches it.
+	_ = wc.c.SetWriteDeadline(time.Now().Add(retireGrace))
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	if wc.retired {
+		return
+	}
+	wc.retired = true
+	if hc, ok := wc.c.(interface{ CloseWrite() error }); ok {
+		_ = hc.CloseWrite()
+	} else {
 		wc.c.Close()
+	}
+}
+
+// awaitDrained holds a replacement connection's deliveries until the
+// connection it replaced has delivered everything it read, so a peer's
+// messages reach the event loop in the order it sent them. If the old
+// stream does not end within retireGrace it is cut. Reports false when
+// the node stops.
+func (n *Node) awaitDrained(old *wireConn) bool {
+	t := time.NewTimer(retireGrace)
+	defer t.Stop()
+	select {
+	case <-old.drained:
+		return true
+	case <-n.done:
+		return false
+	case <-t.C:
+		old.c.Close()
+	}
+	select {
+	case <-old.drained:
+		return true
+	case <-n.done:
+		return false
 	}
 }
 
@@ -542,8 +635,12 @@ func (n *Node) adopt(id types.NodeID, wc *wireConn) {
 // not peer ID, decides, so a replacement installed in the meantime is
 // never evicted by its predecessor's death.
 func (n *Node) detachConn(wc *wireConn) {
-	wc.c.Close()
-	n.removeOpen(wc)
+	// Unlink before closing, so a send failing on the closed socket sees
+	// a connection that is no longer current and requeues its envelope.
+	defer func() {
+		wc.c.Close()
+		n.removeOpen(wc)
+	}()
 	if !wc.hasPeer {
 		return
 	}
@@ -633,6 +730,9 @@ func (n *Node) runSender(p *peer) {
 			continue
 		}
 		size, err := wc.writeEnvelope(env, n.maxFrame)
+		if err != nil && !isFrameViolation(err) && n.requeue(p, wc, env) {
+			continue
+		}
 		if err != nil {
 			// The envelope is lost (lossy contract) and the stream is
 			// unusable; recycle the connection and let the loop redial.
@@ -650,19 +750,29 @@ func (n *Node) runSender(p *peer) {
 	}
 }
 
-// dialPeer attempts one connection to p off the hot path, sleeping the
-// jittered backoff on failure. On success the conn is installed under
-// the same tie-break adoption uses, so a dial racing an inbound adopt
-// converges instead of fighting.
+// requeue puts env back at the head of p's queue when its write failed
+// on a connection that is no longer p's current one — retired by a
+// tie-break or unlinked by its read loop. A failed write never completes
+// a frame, so the envelope goes out exactly once, on the replacement.
+func (n *Node) requeue(p *peer, wc *wireConn, env *Envelope) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cur == wc || (p.cur == nil && p.addr == "") {
+		return false
+	}
+	p.queue = append([]*Envelope{env}, p.queue...)
+	return true
+}
+
+// dialPeer attempts one connection to p off the hot path. The dialer
+// says hello, and the connection becomes p's lane when the acceptor's
+// hello comes back (see install), under the same tie-break an inbound
+// connection gets, so a dial racing the peer's dial converges instead of
+// fighting. On failure it sleeps the jittered backoff.
 func (n *Node) dialPeer(p *peer) {
 	c, err := n.dial(p.addr, dialTimeout)
 	if err != nil {
-		n.tracer.TransportEvent(obsv.TransportDialFail)
-		p.mu.Lock()
-		p.dialFails++
-		d := backoffDelay(p.rng, p.dialFails)
-		p.mu.Unlock()
-		n.sleep(d)
+		n.dialFailed(p)
 		return
 	}
 	wc := n.newWireConn(c, false)
@@ -677,41 +787,58 @@ func (n *Node) dialPeer(p *peer) {
 	if _, err := wc.writeEnvelope(&Envelope{From: n.id}, n.maxFrame); err != nil {
 		n.removeOpen(wc)
 		wc.c.Close()
-		p.mu.Lock()
-		p.dialFails++
-		d := backoffDelay(p.rng, p.dialFails)
-		p.mu.Unlock()
-		n.sleep(d)
+		n.dialFailed(p)
 		return
 	}
 	p.mu.Lock()
-	keep := true
-	if old := p.cur; old != nil {
-		keep = n.preferNew(old, wc, p.id)
-		if keep {
-			old.c.Close()
-		}
-	}
-	var reconnect bool
-	if keep {
-		p.cur = wc
-		p.dialFails = 0
-		reconnect = p.connected
-		p.connected = true
-	}
+	reconnect := p.connected
 	p.mu.Unlock()
-	if !keep {
-		n.removeOpen(wc)
+	if !n.goTracked(func() { n.readLoop(wc) }) {
 		wc.c.Close()
 		return
 	}
-	if reconnect {
-		n.tracer.TransportEvent(obsv.TransportReconnect)
-	} else {
-		n.tracer.TransportEvent(obsv.TransportDial)
+	t := time.NewTimer(dialTimeout)
+	defer t.Stop()
+	select {
+	case <-wc.settled:
+	case <-t.C:
+		wc.c.Close() // no answer: its read loop detaches it
+	case <-n.done:
+		return
 	}
-	if !n.goTracked(func() { n.readLoop(wc) }) {
-		wc.c.Close()
+	p.mu.Lock()
+	installed, other := p.cur == wc, p.cur != nil
+	p.mu.Unlock()
+	switch {
+	case installed && reconnect:
+		n.tracer.TransportEvent(obsv.TransportReconnect)
+	case installed:
+		n.tracer.TransportEvent(obsv.TransportDial)
+	case !other:
+		// Something accepted the socket but closed it or never answered
+		// (a relay whose far side is down, a peer shutting down). The
+		// path may heal at any moment, so retry at the base backoff
+		// instead of escalating it as for a refused connect.
+		p.mu.Lock()
+		p.dialFails = 0
+		p.mu.Unlock()
+		n.dialFailed(p)
+	}
+}
+
+// dialFailed counts a failed dial and sleeps its backoff (cut short by
+// Stop).
+func (n *Node) dialFailed(p *peer) {
+	n.tracer.TransportEvent(obsv.TransportDialFail)
+	p.mu.Lock()
+	p.dialFails++
+	d := backoffDelay(p.rng, p.dialFails)
+	p.mu.Unlock()
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-n.done:
 	}
 }
 
