@@ -162,11 +162,8 @@ type Chain struct {
 	view    types.View
 	nextSeq types.SeqNum
 
-	pending       []*types.Request
-	pendingSet    map[types.RequestKey]bool
-	inFlight      map[types.RequestKey]bool
+	pool          *core.Mempool
 	watch         map[types.RequestKey]bool
-	done          map[types.RequestKey]bool
 	replies       map[types.RequestKey]*types.Reply
 	progressArmed bool
 
@@ -191,10 +188,8 @@ func init() {
 // Init implements core.Protocol.
 func (c *Chain) Init(env core.Env) {
 	c.env = env
-	c.pendingSet = make(map[types.RequestKey]bool)
-	c.inFlight = make(map[types.RequestKey]bool)
+	c.pool = core.NewMempool()
 	c.watch = make(map[types.RequestKey]bool)
-	c.done = make(map[types.RequestKey]bool)
 	c.replies = make(map[types.RequestKey]*types.Reply)
 	c.reconfigVotes = make(map[types.View]map[types.NodeID]bool)
 	c.reconfigExec = make(map[types.View]types.SeqNum)
@@ -252,7 +247,7 @@ func (c *Chain) successor(id types.NodeID) types.NodeID {
 // OnRequest implements core.Protocol: the head orders; everyone else
 // forwards to the head.
 func (c *Chain) OnRequest(req *types.Request) {
-	if c.done[req.Key()] {
+	if c.pool.Done(req.Key()) {
 		// Retransmission of an executed request: replicas that were not
 		// in the reply suffix when it executed have nothing in the
 		// runtime's reply cache, so answer from the protocol's own.
@@ -268,19 +263,12 @@ func (c *Chain) OnRequest(req *types.Request) {
 	}
 	key := req.Key()
 	c.watch[key] = true
-	if c.pendingSet[key] {
-		if c.Head() != c.env.ID() {
-			c.env.Send(c.Head(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	c.pendingSet[key] = true
-	c.pending = append(c.pending, req)
+	added := c.pool.Add(req)
 	if c.Head() != c.env.ID() {
 		c.env.Send(c.Head(), &core.ForwardMsg{Req: req})
-		return
+	} else if added {
+		c.maybePropose()
 	}
-	c.maybePropose()
 }
 
 func (c *Chain) maybePropose() {
@@ -288,7 +276,7 @@ func (c *Chain) maybePropose() {
 		return
 	}
 	for {
-		reqs := c.takePending(c.env.Config().BatchSize)
+		reqs := c.pool.Take(c.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
@@ -297,24 +285,6 @@ func (c *Chain) maybePropose() {
 		m := &ChainMsg{View: c.view, Seq: c.nextSeq, Digest: batch.Digest(), Batch: batch}
 		c.processChainMsg(m)
 	}
-}
-
-func (c *Chain) takePending(max int) []*types.Request {
-	var out []*types.Request
-	live := c.pending[:0]
-	for _, req := range c.pending {
-		key := req.Key()
-		if !c.pendingSet[key] || c.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < max && !c.inFlight[key] {
-			c.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	c.pending = live
-	return out
 }
 
 // processChainMsg appends this replica's endorsement and forwards (or
@@ -343,7 +313,7 @@ func (c *Chain) processChainMsg(m *ChainMsg) {
 	m.Hops = append(m.Hops, Hop{Replica: c.env.ID(), Sig: c.env.Signer().Sign(sd)})
 	for _, r := range m.Batch.Requests {
 		c.watch[r.Key()] = true
-		c.inFlight[r.Key()] = true
+		c.pool.Claim(r.Key())
 	}
 	next := c.successor(c.env.ID())
 	if next >= 0 {
@@ -480,7 +450,7 @@ func (c *Chain) onReconfig(m *ReconfigMsg) {
 		return
 	}
 	c.view = m.NewView
-	c.inFlight = make(map[types.RequestKey]bool)
+	c.pool.Release()
 	// The new head numbers slots above the highest reported execution
 	// point, and members behind it repair the gap by fetching.
 	base := c.reconfigExec[m.NewView]
@@ -527,9 +497,7 @@ func (c *Chain) inReplySuffix() bool {
 func (c *Chain) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	for i, req := range batch.Requests {
 		delete(c.watch, req.Key())
-		delete(c.pendingSet, req.Key())
-		delete(c.inFlight, req.Key())
-		c.done[req.Key()] = true
+		c.pool.Executed(req.Key())
 		rep := &types.Reply{
 			Client:    req.Client,
 			ClientSeq: req.ClientSeq,

@@ -210,11 +210,8 @@ type CheapBFT struct {
 	nextSeq types.SeqNum
 	slots   map[types.SeqNum]*slot
 
-	pending       []*types.Request
-	pendingSet    map[types.RequestKey]bool
-	inFlight      map[types.RequestKey]bool
+	pool          *core.Mempool
 	watch         map[types.RequestKey]bool
-	done          map[types.RequestKey]bool
 	progressArmed bool
 
 	inViewChange bool
@@ -242,10 +239,8 @@ func (c *CheapBFT) Init(env core.Env) {
 	c.env = env
 	c.cm = core.NewCheckpointManager(env)
 	c.slots = make(map[types.SeqNum]*slot)
-	c.pendingSet = make(map[types.RequestKey]bool)
-	c.inFlight = make(map[types.RequestKey]bool)
+	c.pool = core.NewMempool()
 	c.watch = make(map[types.RequestKey]bool)
-	c.done = make(map[types.RequestKey]bool)
 	c.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
 	c.sentNewView = make(map[types.View]bool)
 }
@@ -312,7 +307,7 @@ func (c *CheapBFT) slot(seq types.SeqNum) *slot {
 
 // OnRequest implements core.Protocol.
 func (c *CheapBFT) OnRequest(req *types.Request) {
-	if c.done[req.Key()] {
+	if c.pool.Done(req.Key()) {
 		return
 	}
 	if !c.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
@@ -321,19 +316,12 @@ func (c *CheapBFT) OnRequest(req *types.Request) {
 	key := req.Key()
 	c.watch[key] = true
 	c.armProgress()
-	if c.pendingSet[key] {
-		if !c.isLeader() {
-			c.env.Send(c.leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	c.pendingSet[key] = true
-	c.pending = append(c.pending, req)
+	added := c.pool.Add(req)
 	if !c.isLeader() {
 		c.env.Send(c.leader(), &core.ForwardMsg{Req: req})
-		return
+	} else if added {
+		c.maybePropose()
 	}
-	c.maybePropose()
 }
 
 func (c *CheapBFT) maybePropose() {
@@ -341,7 +329,7 @@ func (c *CheapBFT) maybePropose() {
 		return
 	}
 	for {
-		reqs := c.takePending(c.env.Config().BatchSize)
+		reqs := c.pool.Take(c.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
@@ -352,24 +340,6 @@ func (c *CheapBFT) maybePropose() {
 		c.broadcastActive(c.view, pm)
 		c.acceptPropose(pm)
 	}
-}
-
-func (c *CheapBFT) takePending(k int) []*types.Request {
-	var out []*types.Request
-	live := c.pending[:0]
-	for _, req := range c.pending {
-		key := req.Key()
-		if !c.pendingSet[key] || c.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < k && !c.inFlight[key] {
-			c.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	c.pending = live
-	return out
 }
 
 func (c *CheapBFT) acceptPropose(m *ProposeMsg) {
@@ -389,7 +359,7 @@ func (c *CheapBFT) acceptPropose(m *ProposeMsg) {
 	sl.batch = m.Batch
 	for _, r := range m.Batch.Requests {
 		c.watch[r.Key()] = true
-		c.inFlight[r.Key()] = true
+		c.pool.Claim(r.Key())
 	}
 	c.armProgress()
 	if !sl.voted && !c.opts.SilentActive {
@@ -502,9 +472,7 @@ func (c *CheapBFT) OnTimer(id core.TimerID) {
 func (c *CheapBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	for i, req := range batch.Requests {
 		delete(c.watch, req.Key())
-		delete(c.pendingSet, req.Key())
-		delete(c.inFlight, req.Key())
-		c.done[req.Key()] = true
+		c.pool.Executed(req.Key())
 		// Only active replicas answer clients in CheapBFT.
 		if c.IsActive(c.view, c.env.ID()) {
 			c.env.Reply(&types.Reply{

@@ -182,7 +182,7 @@ func (c *CheapBFT) onNewView(from types.NodeID, m *NewViewMsg) {
 func (c *CheapBFT) installNewView(m *NewViewMsg) {
 	c.view = m.View
 	c.inViewChange = false
-	c.inFlight = make(map[types.RequestKey]bool)
+	c.pool.Release()
 	c.slots = make(map[types.SeqNum]*slot)
 	c.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
 	c.env.ViewChanged(m.View)

@@ -165,11 +165,8 @@ type FaB struct {
 	nextSeq types.SeqNum
 	slots   map[types.SeqNum]*slot
 
-	pending       []*types.Request
-	pendingSet    map[types.RequestKey]bool
-	inFlight      map[types.RequestKey]bool
+	pool          *core.Mempool
 	watch         map[types.RequestKey]bool
-	done          map[types.RequestKey]bool
 	progressArmed bool
 
 	inViewChange bool
@@ -194,10 +191,8 @@ func (f *FaB) Init(env core.Env) {
 	f.env = env
 	f.cm = core.NewCheckpointManager(env)
 	f.slots = make(map[types.SeqNum]*slot)
-	f.pendingSet = make(map[types.RequestKey]bool)
-	f.inFlight = make(map[types.RequestKey]bool)
+	f.pool = core.NewMempool()
 	f.watch = make(map[types.RequestKey]bool)
-	f.done = make(map[types.RequestKey]bool)
 	f.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
 	f.sentNewView = make(map[types.View]bool)
 }
@@ -238,7 +233,7 @@ func (f *FaB) slot(seq types.SeqNum) *slot {
 
 // OnRequest implements core.Protocol.
 func (f *FaB) OnRequest(req *types.Request) {
-	if f.done[req.Key()] {
+	if f.pool.Done(req.Key()) {
 		return
 	}
 	if !f.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
@@ -247,19 +242,12 @@ func (f *FaB) OnRequest(req *types.Request) {
 	key := req.Key()
 	f.watch[key] = true
 	f.armProgress()
-	if f.pendingSet[key] {
-		if !f.isLeader() {
-			f.env.Send(f.leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	f.pendingSet[key] = true
-	f.pending = append(f.pending, req)
+	added := f.pool.Add(req)
 	if !f.isLeader() {
 		f.env.Send(f.leader(), &core.ForwardMsg{Req: req})
-		return
+	} else if added {
+		f.maybePropose()
 	}
-	f.maybePropose()
 }
 
 func (f *FaB) maybePropose() {
@@ -267,7 +255,7 @@ func (f *FaB) maybePropose() {
 		return
 	}
 	for {
-		reqs := f.takePending(f.env.Config().BatchSize)
+		reqs := f.pool.Take(f.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
@@ -278,24 +266,6 @@ func (f *FaB) maybePropose() {
 		f.env.Broadcast(pm)
 		f.acceptPropose(pm)
 	}
-}
-
-func (f *FaB) takePending(k int) []*types.Request {
-	var out []*types.Request
-	live := f.pending[:0]
-	for _, req := range f.pending {
-		key := req.Key()
-		if !f.pendingSet[key] || f.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < k && !f.inFlight[key] {
-			f.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	f.pending = live
-	return out
 }
 
 func (f *FaB) acceptPropose(m *ProposeMsg) {
@@ -315,7 +285,7 @@ func (f *FaB) acceptPropose(m *ProposeMsg) {
 	sl.batch = m.Batch
 	for _, r := range m.Batch.Requests {
 		f.watch[r.Key()] = true
-		f.inFlight[r.Key()] = true
+		f.pool.Claim(r.Key())
 	}
 	f.armProgress()
 	if !sl.accepted {
@@ -399,9 +369,7 @@ func (f *FaB) OnTimer(id core.TimerID) {
 func (f *FaB) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	for i, req := range batch.Requests {
 		delete(f.watch, req.Key())
-		delete(f.pendingSet, req.Key())
-		delete(f.inFlight, req.Key())
-		f.done[req.Key()] = true
+		f.pool.Executed(req.Key())
 		f.env.Reply(&types.Reply{
 			Client:    req.Client,
 			ClientSeq: req.ClientSeq,

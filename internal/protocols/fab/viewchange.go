@@ -182,7 +182,7 @@ func (f *FaB) onNewView(from types.NodeID, m *NewViewMsg) {
 func (f *FaB) installNewView(m *NewViewMsg) {
 	f.view = m.View
 	f.inViewChange = false
-	f.inFlight = make(map[types.RequestKey]bool)
+	f.pool.Release()
 	f.slots = make(map[types.SeqNum]*slot)
 	f.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
 	f.env.ViewChanged(m.View)

@@ -208,11 +208,8 @@ type Kauri struct {
 	// reconfigurations (the per-view slots map is reset on install).
 	preparedProof map[types.SeqNum]*PreparedSlot
 
-	pending       []*types.Request
-	pendingSet    map[types.RequestKey]bool
-	inFlight      map[types.RequestKey]bool
+	pool          *core.Mempool
 	watch         map[types.RequestKey]bool
-	done      map[types.RequestKey]bool
 	progressArmed bool
 
 	inViewChange bool
@@ -238,10 +235,8 @@ func (k *Kauri) Init(env core.Env) {
 	k.cm = core.NewCheckpointManager(env)
 	k.slots = make(map[types.SeqNum]*slot)
 	k.preparedProof = make(map[types.SeqNum]*PreparedSlot)
-	k.pendingSet = make(map[types.RequestKey]bool)
-	k.inFlight = make(map[types.RequestKey]bool)
+	k.pool = core.NewMempool()
 	k.watch = make(map[types.RequestKey]bool)
-	k.done = make(map[types.RequestKey]bool)
 	k.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
 	k.sentNewView = make(map[types.View]bool)
 }
@@ -312,7 +307,7 @@ func (k *Kauri) disarmProgress() {
 
 // OnRequest implements core.Protocol.
 func (k *Kauri) OnRequest(req *types.Request) {
-	if k.done[req.Key()] {
+	if k.pool.Done(req.Key()) {
 		return
 	}
 	if !k.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
@@ -321,19 +316,12 @@ func (k *Kauri) OnRequest(req *types.Request) {
 	key := req.Key()
 	k.watch[key] = true
 	k.armProgress()
-	if k.pendingSet[key] {
-		if !k.isRoot() {
-			k.env.Send(k.root(k.view), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	k.pendingSet[key] = true
-	k.pending = append(k.pending, req)
+	added := k.pool.Add(req)
 	if !k.isRoot() {
 		k.env.Send(k.root(k.view), &core.ForwardMsg{Req: req})
-		return
+	} else if added {
+		k.maybePropose()
 	}
-	k.maybePropose()
 }
 
 func (k *Kauri) maybePropose() {
@@ -341,7 +329,7 @@ func (k *Kauri) maybePropose() {
 		return
 	}
 	for {
-		reqs := k.takePending(k.env.Config().BatchSize)
+		reqs := k.pool.Take(k.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
@@ -352,24 +340,6 @@ func (k *Kauri) maybePropose() {
 		k.down(prop)
 		k.acceptProposal(prop)
 	}
-}
-
-func (k *Kauri) takePending(max int) []*types.Request {
-	var out []*types.Request
-	live := k.pending[:0]
-	for _, req := range k.pending {
-		key := req.Key()
-		if !k.pendingSet[key] || k.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < max && !k.inFlight[key] {
-			k.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	k.pending = live
-	return out
 }
 
 func (k *Kauri) slot(seq types.SeqNum) *slot {
@@ -405,7 +375,7 @@ func (k *Kauri) acceptProposal(m *ProposalMsg) {
 	sl.batch = m.Batch
 	for _, r := range m.Batch.Requests {
 		k.watch[r.Key()] = true
-		k.inFlight[r.Key()] = true
+		k.pool.Claim(r.Key())
 	}
 	k.armProgress()
 	k.down(m) // relay to the subtree
@@ -611,9 +581,7 @@ func (k *Kauri) OnTimer(id core.TimerID) {
 func (k *Kauri) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	for i, req := range batch.Requests {
 		delete(k.watch, req.Key())
-		delete(k.pendingSet, req.Key())
-		delete(k.inFlight, req.Key())
-		k.done[req.Key()] = true
+		k.pool.Executed(req.Key())
 		k.env.Reply(&types.Reply{
 			Client:    req.Client,
 			ClientSeq: req.ClientSeq,

@@ -176,7 +176,7 @@ func (k *Kauri) onNewView(from types.NodeID, m *NewViewMsg) {
 func (k *Kauri) installNewView(m *NewViewMsg) {
 	k.view = m.View
 	k.inViewChange = false
-	k.inFlight = make(map[types.RequestKey]bool)
+	k.pool.Release()
 	k.slots = make(map[types.SeqNum]*slot)
 	k.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
 	k.env.ViewChanged(m.View)

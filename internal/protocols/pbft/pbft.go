@@ -94,15 +94,12 @@ type PBFT struct {
 	// (until the checkpoint low-water mark passes it) so catch-up can
 	// hand a single verifiable certificate to lagging replicas.
 	commitCerts map[types.SeqNum]*crypto.Certificate
+	// prunedTo is the low-water mark insts and commitCerts were last
+	// pruned at.
+	prunedTo types.SeqNum
 
-	pending    []*types.Request
-	pendingSet map[types.RequestKey]bool
-	// inFlight marks requests currently inside a proposed (but not yet
-	// executed) slot of the current view; cleared on view change so a
-	// new leader re-proposes anything the old view lost.
-	inFlight  map[types.RequestKey]bool
+	pool      *core.Mempool
 	watch     map[types.RequestKey]bool
-	done      map[types.RequestKey]bool
 	lastReply map[types.NodeID]*types.Reply
 
 	progressArmed bool
@@ -158,10 +155,8 @@ func (p *PBFT) Init(env core.Env) {
 	p.insts = make(map[instKey]*instance)
 	p.preparedProof = make(map[types.SeqNum]*PreparedProof)
 	p.commitCerts = make(map[types.SeqNum]*crypto.Certificate)
-	p.pendingSet = make(map[types.RequestKey]bool)
-	p.inFlight = make(map[types.RequestKey]bool)
+	p.pool = core.NewMempool()
 	p.watch = make(map[types.RequestKey]bool)
-	p.done = make(map[types.RequestKey]bool)
 	p.lastReply = make(map[types.NodeID]*types.Reply)
 	p.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
 	p.sentNewView = make(map[types.View]bool)
@@ -183,7 +178,7 @@ func (p *PBFT) View() types.View { return p.view }
 // DebugState summarizes internal state for tests.
 func (p *PBFT) DebugState() string {
 	return fmt.Sprintf("view=%d target=%d invc=%v pending=%d watch=%d proofs=%d nextSeq=%d",
-		p.view, p.targetView, p.inViewChange, len(p.pending), len(p.watch), len(p.preparedProof), p.nextSeq)
+		p.view, p.targetView, p.inViewChange, p.pool.Len(), len(p.watch), len(p.preparedProof), p.nextSeq)
 }
 
 func (p *PBFT) isLeader() bool { return p.Leader() == p.env.ID() }
@@ -211,7 +206,7 @@ func (p *PBFT) inst(k instKey) *instance {
 
 // OnRequest implements core.Protocol.
 func (p *PBFT) OnRequest(req *types.Request) {
-	if p.done[req.Key()] {
+	if p.pool.Done(req.Key()) {
 		if r := p.lastReply[req.Client]; r != nil && r.ClientSeq == req.ClientSeq {
 			p.env.Reply(cloneReply(r))
 		}
@@ -222,25 +217,15 @@ func (p *PBFT) OnRequest(req *types.Request) {
 	}
 	key := req.Key()
 	p.armProgress(key)
-	if p.pendingSet[key] {
-		if !p.isLeader() {
-			p.env.Send(p.Leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
 	// Both leader and backups buffer the request: a backup that later
 	// becomes leader proposes its buffered backlog (liveness across
 	// view changes).
-	p.pendingSet[key] = true
-	p.pending = append(p.pending, req)
+	added := p.pool.Add(req)
 	if !p.isLeader() {
 		p.env.Send(p.Leader(), &core.ForwardMsg{Req: req})
-		return
+	} else if added && !p.opts.SilentLeader {
+		p.maybePropose()
 	}
-	if p.opts.SilentLeader {
-		return
-	}
-	p.maybePropose()
 }
 
 // armProgress is level-triggered: fresh requests must not keep pushing
@@ -272,17 +257,17 @@ func (p *PBFT) maybePropose() {
 	if p.opts.FrontRun {
 		// The front-running adversary deliberately holds requests to
 		// build a backlog it can drain newest-first.
-		if len(p.pending) > 0 && !p.batchArmed {
+		if p.pool.Len() > 0 && !p.batchArmed {
 			p.batchArmed = true
 			p.env.SetTimer(core.TimerID{Name: timerBatch}, 5*cfg.BatchTimeout)
 		}
 		return
 	}
-	if len(p.pending) >= cfg.BatchSize {
+	if p.pool.Len() >= cfg.BatchSize {
 		p.proposeBatch()
 		return
 	}
-	if len(p.pending) > 0 && !p.batchArmed {
+	if p.pool.Len() > 0 && !p.batchArmed {
 		p.batchArmed = true
 		p.env.SetTimer(core.TimerID{Name: timerBatch}, cfg.BatchTimeout)
 	}
@@ -302,53 +287,20 @@ func (p *PBFT) proposeBatch() {
 		if free == 1 && size < maxBatch {
 			size = maxBatch // the last free slot carries the backlog
 		}
-		reqs := p.takePending(size)
+		// A FrontRun adversary drains the backlog newest-first,
+		// inverting arrival order.
+		var reqs []*types.Request
+		if p.opts.FrontRun {
+			reqs = p.pool.TakeNewest(size)
+		} else {
+			reqs = p.pool.Take(size)
+		}
 		if len(reqs) == 0 {
 			return
 		}
 		p.nextSeq++
 		p.sendPrePrepare(p.nextSeq, types.NewBatch(reqs...))
 	}
-}
-
-// takePending selects up to k proposable requests from the backlog:
-// known, not yet executed, and not already inside an in-flight slot of
-// the current view. Requests stay buffered until execution so a proposal
-// lost to a view change is re-proposed rather than dropped. A FrontRun
-// adversary drains the backlog newest-first, inverting arrival order.
-func (p *PBFT) takePending(k int) []*types.Request {
-	live := p.pending[:0]
-	for _, req := range p.pending {
-		key := req.Key()
-		if !p.pendingSet[key] || p.done[req.Key()] {
-			continue // executed: drop from the backlog
-		}
-		live = append(live, req)
-	}
-	p.pending = live
-	var out []*types.Request
-	pick := func(req *types.Request) bool {
-		key := req.Key()
-		if len(out) < k && !p.inFlight[key] {
-			p.inFlight[key] = true
-			out = append(out, req)
-		}
-		return len(out) < k
-	}
-	if p.opts.FrontRun {
-		for i := len(p.pending) - 1; i >= 0; i-- {
-			if !pick(p.pending[i]) {
-				break
-			}
-		}
-	} else {
-		for _, req := range p.pending {
-			if !pick(req) {
-				break
-			}
-		}
-	}
-	return out
 }
 
 func (p *PBFT) sendPrePrepare(seq types.SeqNum, batch *types.Batch) {
@@ -437,7 +389,7 @@ func (p *PBFT) acceptPrePrepare(pp *PrePrepareMsg) {
 	in.ppSig = pp.Sig
 	for _, r := range pp.Batch.Requests {
 		p.armProgress(r.Key())
-		p.inFlight[r.Key()] = true
+		p.pool.Claim(r.Key())
 	}
 	if !in.sentPrep && p.env.ID() != p.env.Config().LeaderOf(pp.View) {
 		// Only backups send prepares; the leader's pre-prepare is its
@@ -461,6 +413,7 @@ func (p *PBFT) acceptPrePrepare(pp *PrePrepareMsg) {
 // OnMessage implements core.Protocol.
 func (p *PBFT) OnMessage(from types.NodeID, m types.Message) {
 	if p.cm.OnMessage(from, m) {
+		p.pruneStable()
 		return
 	}
 	switch mm := m.(type) {
@@ -536,12 +489,6 @@ func (p *PBFT) onFetchCommitted(from types.NodeID, m *FetchCommittedMsg) {
 			cs.Voters = e.Proof.Voters
 		}
 		resp.Entries = append(resp.Entries, cs)
-	}
-	// Prune certificates the stable checkpoint has made redundant.
-	for seq := range p.commitCerts {
-		if seq <= led.LowWater() {
-			delete(p.commitCerts, seq)
-		}
 	}
 	if len(resp.Entries) > 0 {
 		p.env.Send(from, resp)
@@ -719,7 +666,7 @@ func (p *PBFT) jumpToView(v types.View) {
 	p.env.Logf("view sync: jumping from view %d to %d on f+1 higher-view evidence", p.view, v)
 	p.view = v
 	p.inViewChange = false
-	p.inFlight = make(map[types.RequestKey]bool)
+	p.pool.Release()
 	p.vcTimeout = p.env.Config().ViewChangeTimeout
 	p.env.StopTimer(core.TimerID{Name: timerViewChange, View: v})
 	p.env.ViewChanged(v)
@@ -764,9 +711,7 @@ func (p *PBFT) checkCommitted(k instKey, in *instance) {
 func (p *PBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	for i, req := range batch.Requests {
 		delete(p.watch, req.Key())
-		delete(p.pendingSet, req.Key())
-		delete(p.inFlight, req.Key())
-		p.done[req.Key()] = true
+		p.pool.Executed(req.Key())
 		rep := &types.Reply{
 			Client:    req.Client,
 			ClientSeq: req.ClientSeq,
@@ -783,6 +728,7 @@ func (p *PBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte
 		p.nextSeq = seq
 	}
 	p.cm.OnExecuted(seq)
+	p.pruneStable()
 	// Progress was made: rearm or clear the τ2 timer.
 	p.disarmProgress()
 	for key := range p.watch {
@@ -790,6 +736,27 @@ func (p *PBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte
 		break
 	}
 	p.maybePropose()
+}
+
+// pruneStable drops the per-slot state at or below the low-water mark
+// once a stable checkpoint advances it. Nothing recreates it: the
+// ordering handlers reject such slots before creating an instance.
+func (p *PBFT) pruneStable() {
+	lw := p.env.Ledger().LowWater()
+	if lw == p.prunedTo {
+		return
+	}
+	p.prunedTo = lw
+	for k := range p.insts {
+		if k.Seq <= lw {
+			delete(p.insts, k)
+		}
+	}
+	for seq := range p.commitCerts {
+		if seq <= lw {
+			delete(p.commitCerts, seq)
+		}
+	}
 }
 
 func cloneReply(r *types.Reply) *types.Reply {
@@ -803,7 +770,7 @@ func (p *PBFT) OnTimer(id core.TimerID) {
 	switch id.Name {
 	case timerBatch:
 		p.batchArmed = false
-		if len(p.pending) > 0 {
+		if p.pool.Len() > 0 {
 			p.proposeBatch()
 		}
 	case timerProgress:

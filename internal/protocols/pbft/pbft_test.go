@@ -150,6 +150,37 @@ func TestCheckpointGarbageCollection(t *testing.T) {
 	}
 }
 
+// TestStableCheckpointPrunesSlotState: the per-slot instances and commit
+// certificates below the low-water mark go once a checkpoint stabilizes,
+// not only when a peer asks for catch-up or the replica rejuvenates.
+func TestStableCheckpointPrunesSlotState(t *testing.T) {
+	var reps []*pbft.PBFT
+	c := harness.NewCluster(harness.Options{
+		Protocol: "pbft", N: 4, Clients: 1,
+		MakeReplica: func(_ types.NodeID, cfg core.Config) core.Protocol {
+			p := pbft.New(cfg).(*pbft.PBFT)
+			reps = append(reps, p)
+			return p
+		},
+	})
+	c.Start()
+	c.ClosedLoop(600, op)
+	c.RunUntilIdle(60 * time.Second)
+	if got, want := c.Metrics.Completed, 600; got != want {
+		t.Fatalf("completed %d, want %d", got, want)
+	}
+	for i, p := range reps {
+		if lw := c.Replicas[i].Ledger().LowWater(); lw == 0 {
+			t.Fatalf("replica %d: no checkpoint stabilized", i)
+		}
+		insts, certs, allowed := p.RetainedSlots()
+		if insts > allowed || certs > allowed {
+			t.Errorf("replica %d holds %d instances and %d commit certificates, want at most %d (LastExecuted - LowWater)",
+				i, insts, certs, allowed)
+		}
+	}
+}
+
 func TestInDarkReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	c := harness.NewCluster(harness.Options{
 		Protocol: "pbft", N: 4, Clients: 1,

@@ -228,7 +228,7 @@ func (p *PBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
 	p.inViewChange = false
 	// Proposals of older views are void; anything still pending gets
 	// re-proposed (runtime-level dedup makes re-execution impossible).
-	p.inFlight = make(map[types.RequestKey]bool)
+	p.pool.Release()
 	p.vcTimeout = p.env.Config().ViewChangeTimeout
 	p.env.StopTimer(core.TimerID{Name: timerViewChange, View: m.View})
 	p.env.ViewChanged(m.View)

@@ -237,11 +237,8 @@ type PoE struct {
 	// execution.
 	ready map[types.SeqNum]*CertifyMsg
 
-	pending       []*types.Request
-	pendingSet    map[types.RequestKey]bool
-	inFlight      map[types.RequestKey]bool
+	pool          *core.Mempool
 	watch         map[types.RequestKey]bool
-	done          map[types.RequestKey]bool
 	progressArmed bool
 
 	cpVotes map[types.SeqNum]map[types.NodeID]types.Digest
@@ -271,10 +268,8 @@ func (p *PoE) Init(env core.Env) {
 	p.env = env
 	p.slots = make(map[types.SeqNum]*slot)
 	p.ready = make(map[types.SeqNum]*CertifyMsg)
-	p.pendingSet = make(map[types.RequestKey]bool)
-	p.inFlight = make(map[types.RequestKey]bool)
+	p.pool = core.NewMempool()
 	p.watch = make(map[types.RequestKey]bool)
-	p.done = make(map[types.RequestKey]bool)
 	p.cpVotes = make(map[types.SeqNum]map[types.NodeID]types.Digest)
 	p.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
 	p.sentNewView = make(map[types.View]bool)
@@ -310,7 +305,7 @@ func (p *PoE) slot(seq types.SeqNum) *slot {
 
 // OnRequest implements core.Protocol.
 func (p *PoE) OnRequest(req *types.Request) {
-	if p.done[req.Key()] {
+	if p.pool.Done(req.Key()) {
 		return
 	}
 	if !p.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
@@ -319,22 +314,12 @@ func (p *PoE) OnRequest(req *types.Request) {
 	key := req.Key()
 	p.watch[key] = true
 	p.armProgress()
-	if p.pendingSet[key] {
-		if !p.isLeader() {
-			p.env.Send(p.leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	p.pendingSet[key] = true
-	p.pending = append(p.pending, req)
+	added := p.pool.Add(req)
 	if !p.isLeader() {
 		p.env.Send(p.leader(), &core.ForwardMsg{Req: req})
-		return
+	} else if added && !p.opts.SilentLeader {
+		p.maybePropose()
 	}
-	if p.opts.SilentLeader {
-		return
-	}
-	p.maybePropose()
 }
 
 func (p *PoE) maybePropose() {
@@ -342,7 +327,7 @@ func (p *PoE) maybePropose() {
 		return
 	}
 	for {
-		reqs := p.takePending(p.env.Config().BatchSize)
+		reqs := p.pool.Take(p.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
@@ -353,24 +338,6 @@ func (p *PoE) maybePropose() {
 		p.env.Broadcast(pm)
 		p.acceptPropose(pm)
 	}
-}
-
-func (p *PoE) takePending(k int) []*types.Request {
-	var out []*types.Request
-	live := p.pending[:0]
-	for _, req := range p.pending {
-		key := req.Key()
-		if !p.pendingSet[key] || p.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < k && !p.inFlight[key] {
-			p.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	p.pending = live
-	return out
 }
 
 func (p *PoE) acceptPropose(m *ProposeMsg) {
@@ -390,7 +357,7 @@ func (p *PoE) acceptPropose(m *ProposeMsg) {
 	sl.batch = m.Batch
 	for _, r := range m.Batch.Requests {
 		p.watch[r.Key()] = true
-		p.inFlight[r.Key()] = true
+		p.pool.Claim(r.Key())
 	}
 	p.armProgress()
 	if !sl.signed {
@@ -601,9 +568,7 @@ func (p *PoE) OnTimer(id core.TimerID) {
 func (p *PoE) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	for i, req := range batch.Requests {
 		delete(p.watch, req.Key())
-		delete(p.pendingSet, req.Key())
-		delete(p.inFlight, req.Key())
-		p.done[req.Key()] = true
+		p.pool.Executed(req.Key())
 		p.env.Reply(&types.Reply{
 			Client:    req.Client,
 			ClientSeq: req.ClientSeq,

@@ -179,7 +179,7 @@ func (p *PoE) onNewView(from types.NodeID, m *NewViewMsg) {
 func (p *PoE) installNewView(m *NewViewMsg) {
 	p.view = m.View
 	p.inViewChange = false
-	p.inFlight = make(map[types.RequestKey]bool)
+	p.pool.Release()
 	p.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
 	p.env.ViewChanged(m.View)
 

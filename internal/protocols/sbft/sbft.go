@@ -250,11 +250,8 @@ type SBFT struct {
 	preparedProof map[types.SeqNum]*PreparedSlot
 	commitCerts   map[types.SeqNum]*CommittedSlot
 
-	pending    []*types.Request
-	pendingSet map[types.RequestKey]bool
-	inFlight   map[types.RequestKey]bool
-	watch      map[types.RequestKey]bool
-	done       map[types.RequestKey]bool
+	pool  *core.Mempool
+	watch map[types.RequestKey]bool
 
 	progressArmed bool
 
@@ -292,10 +289,8 @@ func (s *SBFT) Init(env core.Env) {
 	s.slots = make(map[types.SeqNum]*slot)
 	s.preparedProof = make(map[types.SeqNum]*PreparedSlot)
 	s.commitCerts = make(map[types.SeqNum]*CommittedSlot)
-	s.pendingSet = make(map[types.RequestKey]bool)
-	s.inFlight = make(map[types.RequestKey]bool)
+	s.pool = core.NewMempool()
 	s.watch = make(map[types.RequestKey]bool)
-	s.done = make(map[types.RequestKey]bool)
 	s.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
 	s.sentNewView = make(map[types.View]bool)
 	if s.opts.FastPathWait == 0 {
@@ -324,7 +319,7 @@ func (s *SBFT) slot(seq types.SeqNum) *slot {
 
 // OnRequest implements core.Protocol.
 func (s *SBFT) OnRequest(req *types.Request) {
-	if s.done[req.Key()] {
+	if s.pool.Done(req.Key()) {
 		return
 	}
 	if !s.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
@@ -333,19 +328,12 @@ func (s *SBFT) OnRequest(req *types.Request) {
 	key := req.Key()
 	s.watch[key] = true
 	s.armProgress()
-	if s.pendingSet[key] {
-		if !s.isLeader() {
-			s.env.Send(s.leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	s.pendingSet[key] = true
-	s.pending = append(s.pending, req)
+	added := s.pool.Add(req)
 	if !s.isLeader() {
 		s.env.Send(s.leader(), &core.ForwardMsg{Req: req})
-		return
+	} else if added {
+		s.maybePropose()
 	}
-	s.maybePropose()
 }
 
 // armProgress is level-triggered (see pbft.armProgress).
@@ -367,7 +355,7 @@ func (s *SBFT) maybePropose() {
 		return
 	}
 	for {
-		reqs := s.takePending(s.env.Config().BatchSize)
+		reqs := s.pool.Take(s.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
@@ -381,24 +369,6 @@ func (s *SBFT) maybePropose() {
 		// Arm τ3: if not all shares arrive in time, fall back.
 		s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: seq, View: s.view}, s.opts.FastPathWait)
 	}
-}
-
-func (s *SBFT) takePending(k int) []*types.Request {
-	var out []*types.Request
-	live := s.pending[:0]
-	for _, req := range s.pending {
-		key := req.Key()
-		if !s.pendingSet[key] || s.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < k && !s.inFlight[key] {
-			s.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	s.pending = live
-	return out
 }
 
 func (s *SBFT) acceptPrePrepare(from types.NodeID, pp *PrePrepareMsg) {
@@ -421,7 +391,7 @@ func (s *SBFT) acceptPrePrepare(from types.NodeID, pp *PrePrepareMsg) {
 	sl.batch = pp.Batch
 	for _, r := range pp.Batch.Requests {
 		s.watch[r.Key()] = true
-		s.inFlight[r.Key()] = true
+		s.pool.Claim(r.Key())
 	}
 	s.armProgress()
 	if !sl.signed && !s.opts.SilentBackup {
@@ -624,9 +594,7 @@ func (s *SBFT) OnTimer(id core.TimerID) {
 func (s *SBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	for i, req := range batch.Requests {
 		delete(s.watch, req.Key())
-		delete(s.pendingSet, req.Key())
-		delete(s.inFlight, req.Key())
-		s.done[req.Key()] = true
+		s.pool.Executed(req.Key())
 		s.env.Reply(&types.Reply{
 			Client:    req.Client,
 			ClientSeq: req.ClientSeq,

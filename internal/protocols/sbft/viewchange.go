@@ -238,7 +238,7 @@ func (s *SBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
 		s.nextSeq = m.Base
 	}
 	s.inViewChange = false
-	s.inFlight = make(map[types.RequestKey]bool)
+	s.pool.Release()
 	s.slots = make(map[types.SeqNum]*slot)
 	for i := range m.Committed {
 		cs := &m.Committed[i]

@@ -232,7 +232,7 @@ func (z *Zyzzyva) onNewView(from types.NodeID, m *NewViewMsg) {
 func (z *Zyzzyva) installNewView(m *NewViewMsg) {
 	z.view = m.View
 	z.inViewChange = false
-	z.inFlight = make(map[types.RequestKey]bool)
+	z.pool.Release()
 	z.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
 	z.env.ViewChanged(m.View)
 

@@ -226,11 +226,8 @@ type Zyzzyva struct {
 	// buffered out-of-order order-requests.
 	buffer map[types.SeqNum]*OrderReqMsg
 
-	pending    []*types.Request
-	pendingSet map[types.RequestKey]bool
-	inFlight   map[types.RequestKey]bool
-	watch      map[types.RequestKey]bool
-	done       map[types.RequestKey]bool
+	pool  *core.Mempool
+	watch map[types.RequestKey]bool
 
 	cpVotes map[types.SeqNum]map[types.NodeID]types.Digest
 
@@ -277,10 +274,8 @@ func (z *Zyzzyva) Init(env core.Env) {
 	z.specs = make(map[types.SeqNum]*SpecSlot)
 	z.clientCerts = make(map[types.SeqNum]*CommitMsg)
 	z.buffer = make(map[types.SeqNum]*OrderReqMsg)
-	z.pendingSet = make(map[types.RequestKey]bool)
-	z.inFlight = make(map[types.RequestKey]bool)
+	z.pool = core.NewMempool()
 	z.watch = make(map[types.RequestKey]bool)
-	z.done = make(map[types.RequestKey]bool)
 	z.cpVotes = make(map[types.SeqNum]map[types.NodeID]types.Digest)
 	z.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
 	z.sentNewView = make(map[types.View]bool)
@@ -292,7 +287,7 @@ func (z *Zyzzyva) View() types.View { return z.view }
 // DebugState summarizes internal state for tests.
 func (z *Zyzzyva) DebugState() string {
 	return fmt.Sprintf("view=%d target=%d invc=%v specTip=%d specs=%d buffer=%d pending=%d watch=%d",
-		z.view, z.targetView, z.inViewChange, z.specTip(), len(z.specs), len(z.buffer), len(z.pending), len(z.watch))
+		z.view, z.targetView, z.inViewChange, z.specTip(), len(z.specs), len(z.buffer), z.pool.Len(), len(z.watch))
 }
 
 func (z *Zyzzyva) leader() types.NodeID { return z.env.Config().LeaderOf(z.view) }
@@ -325,7 +320,7 @@ func (z *Zyzzyva) quorum() int {
 
 // OnRequest implements core.Protocol.
 func (z *Zyzzyva) OnRequest(req *types.Request) {
-	if z.done[req.Key()] {
+	if z.pool.Done(req.Key()) {
 		return
 	}
 	if !z.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
@@ -334,22 +329,12 @@ func (z *Zyzzyva) OnRequest(req *types.Request) {
 	key := req.Key()
 	z.watch[key] = true
 	z.armProgress()
-	if z.pendingSet[key] {
-		if !z.isLeader() {
-			z.env.Send(z.leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	z.pendingSet[key] = true
-	z.pending = append(z.pending, req)
+	added := z.pool.Add(req)
 	if !z.isLeader() {
 		z.env.Send(z.leader(), &core.ForwardMsg{Req: req})
-		return
+	} else if added && !z.opts.SilentLeader {
+		z.maybePropose()
 	}
-	if z.opts.SilentLeader {
-		return
-	}
-	z.maybePropose()
 }
 
 func (z *Zyzzyva) maybePropose() {
@@ -357,7 +342,7 @@ func (z *Zyzzyva) maybePropose() {
 		return
 	}
 	for {
-		reqs := z.takePending(z.env.Config().BatchSize)
+		reqs := z.pool.Take(z.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
@@ -368,24 +353,6 @@ func (z *Zyzzyva) maybePropose() {
 		z.env.Broadcast(or)
 		z.acceptOrderReq(or)
 	}
-}
-
-func (z *Zyzzyva) takePending(k int) []*types.Request {
-	var out []*types.Request
-	live := z.pending[:0]
-	for _, req := range z.pending {
-		key := req.Key()
-		if !z.pendingSet[key] || z.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < k && !z.inFlight[key] {
-			z.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	z.pending = live
-	return out
 }
 
 // acceptOrderReq speculatively executes contiguous assignments and
@@ -431,7 +398,7 @@ func (z *Zyzzyva) execSpeculative(or *OrderReqMsg) {
 	z.disarmProgress() // the leader is making progress
 	for i, req := range or.Batch.Requests {
 		z.watch[req.Key()] = true
-		z.inFlight[req.Key()] = true
+		z.pool.Claim(req.Key())
 		res := results[i]
 		if z.opts.CorruptBackup {
 			res = []byte("corrupt")
@@ -592,9 +559,7 @@ func (z *Zyzzyva) OnTimer(id core.TimerID) {
 func (z *Zyzzyva) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	for i, req := range batch.Requests {
 		delete(z.watch, req.Key())
-		delete(z.pendingSet, req.Key())
-		delete(z.inFlight, req.Key())
-		z.done[req.Key()] = true
+		z.pool.Executed(req.Key())
 		// A committed (non-speculative) reply: lets clients finish with
 		// f+1 matches when the fast path fell apart (e.g. after a view
 		// change re-executed the slot).
